@@ -95,12 +95,12 @@ func TestStreamCSVRowBeforeBatchEnds(t *testing.T) {
 		},
 	}
 
-	set := SweepSettings(10_000, 2, "", 0, 0, 0, 0, 0, false)
+	set := SweepSettings(10_000, 2)
 	cw := chanWriter{ch: make(chan string)}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		streamCSV(cw, "delay", pts, set, alg)
+		streamCSV(cw, "delay", pts, set, alg, nil)
 	}()
 
 	recv := func(what string) string {

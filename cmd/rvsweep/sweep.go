@@ -5,8 +5,8 @@ import (
 	"io"
 	"math"
 	"strings"
-	"time"
 
+	"repro/internal/dist"
 	"repro/rendezvous"
 )
 
@@ -51,27 +51,31 @@ func Points(mode string, from, to float64, steps int) (pts []Point, skipped []er
 }
 
 // SweepSettings assembles the simulation settings of a sweep run: the
-// segment budget, the in-process pool size (also forwarded to workers
-// as their in-process pool), and (optionally) the distributed worker
-// fleet with its per-connection send window (fixed when window > 0,
-// adaptive up to maxWindow when window == 0) and failure model (stall
-// is the liveness deadline for hung workers, maxRequeues the distinct-
-// worker-kill count that quarantines a poison job; zero keeps the
-// defaults, negative disables). compress asks TCP worker connections to
-// negotiate flate compression — a WAN-link bandwidth saver that never
-// changes the emitted bytes.
-func SweepSettings(maxSeg, workers int, hosts string, workerProcs, window, maxWindow int, stall time.Duration, maxRequeues int, compress bool) rendezvous.Settings {
+// segment budget and the batch-pool size (also forwarded to workers as
+// their in-process pool).
+func SweepSettings(maxSeg, workers int) rendezvous.Settings {
 	set := rendezvous.DefaultSettings()
 	set.MaxSegments = maxSeg
 	set.Parallelism = workers
-	set.Hosts = hosts
-	set.WorkerProcs = workerProcs
-	set.Window = window
-	set.MaxWindow = maxWindow
-	set.StallTimeout = stall
-	set.MaxJobRequeues = maxRequeues
-	set.Compress = compress
 	return set
+}
+
+// dialFleet opens the fleet session cfg names for a sweep of n points
+// through the public API the sweep runs on (rvsweep's dial for
+// cli.Open). Like the one-shot dist.RunStream it dials at most one
+// worker subprocess and one host per point: a wider fleet has workers
+// that never claim a job yet still pay their spawn and handshake. (A
+// watched hosts file still brings in every host it lists.)
+func dialFleet(cfg dist.Config, n int) (*rendezvous.Fleet, error) {
+	n = max(n, 1)
+	cfg.Procs = min(cfg.Procs, n)
+	cfg.Hosts = cfg.Hosts[:min(len(cfg.Hosts), n)]
+	return rendezvous.DialFleet(rendezvous.Settings{
+		Hosts: dist.FormatHosts(cfg.Hosts), WorkerProcs: cfg.Procs,
+		Window: cfg.Window, MaxWindow: cfg.MaxWindow,
+		StallTimeout: cfg.StallTimeout, MaxJobRequeues: cfg.MaxJobRequeues,
+		Compress: cfg.Compress,
+	})
 }
 
 // SweepCSV simulates every point under AlmostUniversalRV on a pool of
@@ -80,7 +84,7 @@ func SweepSettings(maxSeg, workers int, hosts string, workerProcs, window, maxWi
 // is byte-identical for every worker count.
 func SweepCSV(mode string, pts []Point, maxSeg, workers int) string {
 	var b strings.Builder
-	StreamCSV(&b, mode, pts, SweepSettings(maxSeg, workers, "", 0, 0, 0, 0, 0, false))
+	StreamCSV(&b, mode, pts, SweepSettings(maxSeg, workers), nil)
 	return b.String()
 }
 
@@ -88,43 +92,28 @@ func SweepCSV(mode string, pts []Point, maxSeg, workers int) string {
 // the moment the ordered result prefix completes, instead of after the
 // whole batch drains: a sweep whose early points are cheap prints them
 // while the pool is still grinding through the expensive tail. The
-// emitted bytes are identical to SweepCSV's for every worker count,
-// pool size, and fleet — streaming changes when rows appear, never what
-// they say.
-func StreamCSV(w io.Writer, mode string, pts []Point, set rendezvous.Settings) {
-	streamCSV(w, mode, pts, set, rendezvous.AlmostUniversalRV())
-}
-
-// StreamCSVOn is StreamCSV over an open fleet session instead of the
-// one-shot batch entry point: the session's connections (and its live
-// membership — WatchHosts may be reshaping the fleet mid-sweep) serve
-// the points, and the emitted bytes stay identical to every other
-// execution shape.
-func StreamCSVOn(w io.Writer, mode string, pts []Point, set rendezvous.Settings, f *rendezvous.Fleet) {
-	alg := rendezvous.AlmostUniversalRV()
-	emitRows(w, mode, pts, f.SimulateBatchStream(sweepInstances(pts), alg, set))
+// points run over the fleet session f — whose live membership may be
+// reshaping it mid-sweep — or in-process when f is nil. The emitted
+// bytes are identical to SweepCSV's for every worker count, pool size,
+// and fleet — streaming changes when rows appear, never what they say.
+func StreamCSV(w io.Writer, mode string, pts []Point, set rendezvous.Settings, f *rendezvous.Fleet) {
+	streamCSV(w, mode, pts, set, rendezvous.AlmostUniversalRV(), f)
 }
 
 // streamCSV is StreamCSV with the algorithm injectable (tests gate a
 // custom algorithm to observe rows appearing before the batch ends).
-func streamCSV(w io.Writer, mode string, pts []Point, set rendezvous.Settings, alg rendezvous.Algorithm) {
-	emitRows(w, mode, pts, rendezvous.SimulateBatchStream(sweepInstances(pts), alg, set))
-}
-
-func sweepInstances(pts []Point) []rendezvous.Instance {
+func streamCSV(w io.Writer, mode string, pts []Point, set rendezvous.Settings, alg rendezvous.Algorithm, f *rendezvous.Fleet) {
 	ins := make([]rendezvous.Instance, len(pts))
 	for i, p := range pts {
 		ins[i] = p.Inst
 	}
-	return ins
-}
-
-// emitRows renders the CSV header and one row per streamed result, in
-// sweep order — the one formatter behind both execution shapes.
-func emitRows(w io.Writer, mode string, pts []Point, results <-chan rendezvous.Result) {
+	simulate := rendezvous.SimulateBatchStream
+	if f != nil {
+		simulate = f.SimulateBatchStream
+	}
 	fmt.Fprintf(w, "%s,meet_time,min_gap,segments\n", mode)
 	i := 0
-	for res := range results {
+	for res := range simulate(ins, alg, set) {
 		meet := math.NaN()
 		if res.Met {
 			meet = res.MeetTime.Float64()

@@ -40,42 +40,30 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/dist"
-	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
 func main() {
 	var (
-		listen   = flag.String("listen", "", "TCP address to serve workers on (empty: serve stdin/stdout)")
-		list     = flag.Bool("list", false, "print the registered algorithm names and exit")
-		pool     = flag.Int("pool", 0, "in-worker execution pool per connection (0 = honor the stream's pool hint or the jobs' forwarded Parallelism; <0 = serial)")
+		listen = flag.String("listen", "", "TCP address to serve workers on (empty: serve stdin/stdout)")
+		list   = flag.Bool("list", false, "print the registered algorithm names and exit")
+		pool   = flag.Int("pool", 0, "in-worker execution pool per connection (0 = honor the stream's pool hint or the jobs' forwarded Parallelism; <0 = serial)")
+		// Unlike the coordinators' -compress (request, default off), this one accepts.
 		compress = flag.Bool("compress", true, "accept per-connection flate compression when the coordinator offers it (-compress=false refuses, forcing raw frames)")
 		verbose  = flag.Bool("v", false, "log one line per served stream (peer and job count) to stderr")
-		metrics  = flag.String("metrics", "", "HTTP address to expose the flight recorder on (/metrics, /statusz; empty: off)")
-		pprofOn  = flag.Bool("pprof", false, "also expose /debug/pprof/ on the -metrics address")
-		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
+		o        = cli.ObsFlags(flag.CommandLine, "rvworker")
 	)
 	flag.Parse()
-
-	if err := obs.InitLogging(os.Stderr, *logLevel); err != nil {
-		fmt.Fprintln(os.Stderr, "rvworker:", err)
-		os.Exit(2)
-	}
-
 	if *list {
 		for _, name := range wire.Algorithms() {
 			fmt.Println(name)
 		}
 		return
 	}
-	if *metrics != "" {
-		addr, err := obs.Serve(*metrics, *pprofOn)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rvworker:", err)
-			os.Exit(1)
-		}
-		slog.Info("rvworker: metrics listening", "addr", addr.String(), "pprof", *pprofOn)
+	if err := o.Start(); err != nil {
+		cli.Exit(err)
 	}
 	opts := dist.ServeOptions{Pool: *pool, NoCompress: !*compress}
 	if *verbose {

@@ -148,10 +148,17 @@ func Dedup(n int, key func(i int) any) (canon []int, uniq []int) {
 
 // FoldStats computes the aggregate accounting of a completed batch by a
 // serial fold over the results in input order — the one way to
-// aggregate that is deterministic for every execution schedule. It is
-// shared by every engine that fills a result slice (Run, RunStream, and
-// the distributed coordinator of internal/dist).
+// aggregate that is deterministic for every execution schedule — and
+// records it on the flight recorder. It is shared by every engine that
+// fills a result slice (Run, RunStream, and the distributed
+// coordinator of internal/dist).
 func FoldStats(results []sim.Result, executed, workers int) Stats {
+	st := fold(results, executed, workers)
+	record(st)
+	return st
+}
+
+func fold(results []sim.Result, executed, workers int) Stats {
 	st := Stats{Jobs: len(results), Executed: executed, Workers: workers}
 	for _, r := range results {
 		if r.Met {
@@ -160,16 +167,21 @@ func FoldStats(results []sim.Result, executed, workers int) Stats {
 		st.Segments += int64(r.Segments)
 		st.SimTime += r.EndTime.Float64()
 	}
-	// Every batch engine funnels its accounting through this fold
-	// (Run, Producer.Close, the distributed coordinator), so it is the
-	// one place the flight recorder learns executed-vs-memoized counts.
+	return st
+}
+
+// record counts one completed batch on the flight recorder. Every
+// engine's accounting funnels through it exactly once per batch (Run,
+// a stream that completed, an in-process splice after a fleet
+// failure), so it is the one place the recorder learns
+// executed-vs-memoized counts.
+func record(st Stats) {
 	mJobs.Add(uint64(st.Jobs))
 	mExecuted.Add(uint64(st.Executed))
 	if shared := st.Jobs - st.Executed; shared > 0 {
 		mMemoized.Add(uint64(shared))
 	}
 	mSegments.Add(uint64(max(st.Segments, 0)))
-	return st
 }
 
 // Do runs fn(i) for every i in [0, n) on a pool of `workers`

@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"sort"
 	"sync"
 
 	"repro/internal/sim"
@@ -87,11 +88,17 @@ func (p *Producer) Results() []sim.Result { return p.s.results }
 
 // Close finalizes the stream: err non-nil marks an engine failure (some
 // slots undelivered), executed/workers feed the Stats fold. It must be
-// called exactly once, after the last Put.
+// called exactly once, after the last Put. Only a completed stream is
+// recorded on the flight recorder: a failed one is not a completed
+// batch, and a caller that splices the rest in-process (Resume)
+// records the whole batch once.
 func (p *Producer) Close(executed, workers int, err error) {
 	s := p.s
 	s.mu.Lock()
-	s.stats = FoldStats(s.results, executed, workers)
+	s.stats = fold(s.results, executed, workers)
+	if err == nil {
+		record(s.stats)
+	}
 	s.err = err
 	s.mu.Unlock()
 	close(s.ch)
@@ -103,21 +110,37 @@ func (p *Producer) Close(executed, workers int, err error) {
 // but delivers them through a Stream as the completed prefix grows
 // instead of all at once. Duplicate (memoized) jobs are released the
 // moment their canonical job completes, traces deep-copied as in Run.
-func RunStream(jobs []Job, workers int) *Stream {
+func RunStream(jobs []Job, workers int) *Stream { return Resume(jobs, nil, workers) }
+
+// Resume is RunStream for a batch whose ordered prefix another engine
+// already computed (a distributed run that delivered results
+// 0..len(prefix)-1 and then failed): the prefix is released as is,
+// only the rest of the jobs execute, and a suffix job memoized onto a
+// prefix job shares that result. The stream's results and Stats —
+// recorded once, for the whole batch — are exactly RunStream's.
+func Resume(jobs []Job, prefix []sim.Result, workers int) *Stream {
 	s, p := NewStream(len(jobs))
 	go func() {
 		canon, uniq := Dedup(len(jobs), func(i int) any { return jobs[i].Key })
 		dups := dupsOf(canon)
-		w := Workers(workers, len(uniq))
-		Do(len(uniq), w, func(k int) {
-			i := uniq[k]
+		for i, r := range prefix {
+			p.Put(i, r)
+			for _, j := range dups[i] {
+				if j >= len(prefix) {
+					p.Put(j, r.CloneTraces())
+				}
+			}
+		}
+		run := uniq[sort.SearchInts(uniq, len(prefix)):]
+		Do(len(run), Workers(workers, len(run)), func(k int) {
+			i := run[k]
 			res := sim.Run(jobs[i].A, jobs[i].B, jobs[i].Settings)
 			p.Put(i, res)
 			for _, j := range dups[i] {
 				p.Put(j, res.CloneTraces())
 			}
 		})
-		p.Close(len(uniq), w, nil)
+		p.Close(len(uniq), Workers(workers, len(uniq)), nil)
 	}()
 	return s
 }

@@ -49,8 +49,8 @@ import (
 	"repro/internal/wire"
 )
 
-// Handshake defaults, overridable per Config (chaos tests and slow
-// WANs should not have to fight hard-coded constants).
+// Handshake bounds; only the hello wait is overridable per Config (chaos
+// tests and slow WANs should not have to fight a hard-coded constant).
 const (
 	// DefaultHelloTimeout bounds how long the coordinator waits for a
 	// freshly spawned or dialed worker to identify itself; a peer that
@@ -135,9 +135,6 @@ type Config struct {
 	// HelloTimeout bounds the wait for a worker's hello frame after
 	// dial/spawn. 0 selects DefaultHelloTimeout.
 	HelloTimeout time.Duration
-	// DialTimeout bounds each TCP connection attempt to a fleet host.
-	// 0 selects DefaultDialTimeout.
-	DialTimeout time.Duration
 	// BreakerThreshold is the number of consecutive connection failures
 	// (dead drives, failed redials) that open a slot's circuit breaker:
 	// the slot sits out until a cooldown elapses, then a single probe
@@ -159,12 +156,6 @@ type Config struct {
 	// uncompressed stream; unlike a version mismatch this is not an
 	// error.
 	Compress bool
-	// Fairness picks which live dispatch an idle connection claims
-	// from when several run concurrently over this fleet (multi-tenant
-	// scheduling, PR 10). nil selects FIFO — oldest dispatch first —
-	// via a zero-allocation fast path. Any policy is pure scheduling:
-	// per-tenant output bytes are identical under all of them.
-	Fairness Fairness
 }
 
 // DefaultCompressMin is the smallest frame payload worth deflating
@@ -522,7 +513,7 @@ func negotiateCompress(wc *workerConn, cfg Config, caps uint32) error {
 // (and hence a requeue) instead of wedging the batch on a read that
 // never returns.
 func dialWorker(h Host, cfg Config) (*workerConn, error) {
-	conn, err := net.DialTimeout("tcp", h.Addr, cfg.dialTimeout())
+	conn, err := net.DialTimeout("tcp", h.Addr, DefaultDialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("dist: dialing %s: %w", h.Addr, err)
 	}

@@ -24,7 +24,7 @@ import (
 // matter how many batches it runs. Since PR 10 dispatches are
 // concurrent: each is a tenant in the shared scheduler (sched.go),
 // with its own ready queue and sequence space, and idle connections
-// claim across tenants under a fairness policy (fairness.go).
+// claim across tenants, oldest dispatch first.
 //
 // Throughput comes from three mechanisms layered on the scheduler:
 //
@@ -179,13 +179,6 @@ func (c Config) helloTimeout() time.Duration {
 		return c.HelloTimeout
 	}
 	return DefaultHelloTimeout
-}
-
-func (c Config) dialTimeout() time.Duration {
-	if c.DialTimeout > 0 {
-		return c.DialTimeout
-	}
-	return DefaultDialTimeout
 }
 
 // adaptiveWindow sizes one connection's in-flight window. A fixed
@@ -378,7 +371,7 @@ type slot struct {
 	wc       *workerConn
 	attempts int
 	retired  bool
-	draining bool // Retire requested: finish in-flight bookkeeping, then retire
+	draining bool         // Retire requested: finish in-flight bookkeeping, then retire
 	met      *slotMetrics // per-slot flight-recorder children, resolved at assembly
 
 	// Connection-scoped scheduling state, guarded by the fleet mutex.

@@ -22,20 +22,20 @@ import (
 // The fleet is multi-tenant (PR 10): concurrent Run/RunStream/Sweep
 // calls do not queue behind each other — each becomes a dispatch with
 // its own id and sequence space, and every connection interleaves
-// jobs from all live dispatches under the fleet's fairness policy
-// (sched.go, fairness.go). A connection that dies is re-dialed or
-// respawned under the slot's session-lifetime respawn budget
-// (Config.MaxRespawns — it never resets, so a host that keeps dying
-// retires for good); adaptive window state lives on the connection
-// and survives from one batch to the next, so a later batch starts
-// with the window the earlier batches learned. Slots can join and
-// drain mid-session: AddHost and Retire (membership.go).
+// jobs from all live dispatches, oldest dispatch first (sched.go). A
+// connection that dies is re-dialed or respawned under the slot's
+// session-lifetime respawn budget (Config.MaxRespawns — it never
+// resets, so a host that keeps dying retires for good); adaptive
+// window state lives on the connection and survives from one batch
+// to the next, so a later batch starts with the window the earlier
+// batches learned. Slots can join and drain mid-session: AddHost and
+// Retire (membership.go).
 //
 // Every determinism property of the one-shot path carries over
-// verbatim: session reuse, tenant interleaving, work stealing, and
-// fairness are all pure scheduling, so any mix of concurrent batches
-// and sweeps over any fleet produces per-call byte-identical results
-// to the same calls run in-process serially.
+// verbatim: session reuse, tenant interleaving, and work stealing are
+// all pure scheduling, so any mix of concurrent batches and sweeps
+// over any fleet produces per-call byte-identical results to the same
+// calls run in-process serially.
 type Fleet struct {
 	cfg Config
 
@@ -51,18 +51,12 @@ type Fleet struct {
 	// Resolved-once config (the scheduler reads them on hot paths).
 	stall    time.Duration
 	maxKills int
-	fair     Fairness
 
 	// Live dispatches in admission order, plus the fleet-wide ready
 	// total mirrored into the queue-depth gauge.
-	nextID  uint32
-	arrival uint64
-	live    []*dispatch
-	queued  int
-
-	// Scratch for pickLocked's fairness path, reused between claims.
-	elig  []*dispatch
-	views []DispatchView
+	nextID uint32
+	live   []*dispatch
+	queued int
 }
 
 // Dial assembles the worker fleet the config names and returns the
@@ -86,7 +80,6 @@ func Dial(cfg Config) (*Fleet, error) {
 		slots:    slots,
 		stall:    cfg.stallTimeout(),
 		maxKills: cfg.maxJobRequeues(),
-		fair:     cfg.Fairness,
 	}
 	f.cond = sync.NewCond(&f.mu)
 	for _, s := range slots {
@@ -240,12 +233,8 @@ func RunStream(jobs []batch.Job, localWorkers int, cfg Config) (*batch.Stream, e
 	}
 	var f *Fleet
 	if remote > 0 {
-		if cfg.Procs > remote {
-			cfg.Procs = remote
-		}
-		if len(cfg.Hosts) > remote {
-			cfg.Hosts = cfg.Hosts[:remote]
-		}
+		cfg.Procs = min(cfg.Procs, remote)
+		cfg.Hosts = cfg.Hosts[:min(len(cfg.Hosts), remote)]
 		var err error
 		if f, err = Dial(cfg); err != nil {
 			return nil, err
@@ -267,6 +256,15 @@ func collect(st *batch.Stream, err error) ([]sim.Result, batch.Stats, error) {
 		return nil, batch.Stats{}, err
 	}
 	return results, st.Stats(), nil
+}
+
+// Unreachable records that the session cfg names could not be dialed
+// (err is Dial's) and that its caller runs in-process instead, counted
+// and logged like every other degradation below.
+func Unreachable(cfg Config, err error) {
+	mFallbacks.Inc()
+	logOf(cfg).Warn("dist: fleet unavailable; distributed batch failed; falling back to running in-process",
+		"err", err, "hosts", hostSummary(cfg))
 }
 
 // runOrFallback implements the slice-shaped degradation policy over
@@ -294,13 +292,10 @@ func runOrFallback(jobs []batch.Job, localWorkers int, cfg Config, start func() 
 		logOf(cfg).Warn("dist: distributed batch failed; finishing in-process",
 			"err", err, "delivered", len(results), "hosts", hostSummary(cfg))
 	}
-	suffix, _ := batch.Run(jobs[len(results):], localWorkers)
-	results = append(results, suffix...)
-	// Accounting on the splice path: report the canonical execution set
-	// (what a clean run of this batch executes); the suffix re-dedups
-	// independently, so the actual execution count may have been higher.
-	_, uniq := batch.Dedup(len(jobs), func(i int) any { return jobs[i].Key })
-	return results, batch.FoldStats(results, len(uniq), batch.Workers(localWorkers, len(jobs)))
+	// The splice is one batch, accounted and recorded once, exactly as a
+	// clean in-process run of it would be; Resume cannot fail.
+	results, stats, _ := collect(batch.Resume(jobs, results, localWorkers), nil)
+	return results, stats
 }
 
 // streamOrFallback implements the channel-shaped degradation policy
@@ -310,13 +305,14 @@ func streamOrFallback(jobs []batch.Job, localWorkers int, enabled bool, cfg Conf
 	out := make(chan sim.Result, len(jobs))
 	go func() {
 		defer close(out)
-		delivered := 0
+		var prefix []sim.Result
 		if enabled {
+			prefix = make([]sim.Result, 0, len(jobs))
 			st, err := start()
 			if err == nil {
 				for r := range st.Results() {
 					out <- r
-					delivered++
+					prefix = append(prefix, r)
 				}
 				if err = st.Err(); err == nil {
 					return
@@ -324,9 +320,13 @@ func streamOrFallback(jobs []batch.Job, localWorkers int, enabled bool, cfg Conf
 			}
 			mFallbacks.Inc()
 			logOf(cfg).Warn("dist: distributed batch failed; finishing in-process",
-				"err", err, "delivered", delivered, "hosts", hostSummary(cfg))
+				"err", err, "delivered", len(prefix), "hosts", hostSummary(cfg))
 		}
-		for r := range batch.RunStream(jobs[delivered:], localWorkers).Results() {
+		rest := batch.Resume(jobs, prefix, localWorkers).Results()
+		for range prefix { // already delivered
+			<-rest
+		}
+		for r := range rest {
 			out <- r
 		}
 	}()

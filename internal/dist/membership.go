@@ -106,7 +106,7 @@ func (f *Fleet) Retire(addr string) error {
 // edit. The returned stop function ends the watch (idempotent); Close
 // does not stop it, so call stop before Close.
 func (f *Fleet) WatchHosts(path string, interval time.Duration) (stop func(), err error) {
-	hosts, err := loadHostsFile(path)
+	hosts, err := LoadHostsFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +130,7 @@ func (f *Fleet) WatchHosts(path string, interval time.Duration) (stop func(), er
 			case <-stopC:
 				return
 			case <-tick.C:
-				hosts, err := loadHostsFile(path)
+				hosts, err := LoadHostsFile(path)
 				if err != nil {
 					lg.Warn("dist: hosts file unreadable; keeping current fleet", "path", path, "err", err)
 					continue
@@ -156,11 +156,7 @@ func (f *Fleet) WatchHosts(path string, interval time.Duration) (stop func(), er
 // comment line. It is the parse WatchHosts applies on every poll,
 // exported so CLIs can seed a fleet from the same file they then
 // watch.
-func LoadHostsFile(path string) ([]Host, error) { return loadHostsFile(path) }
-
-// loadHostsFile reads and parses one hosts file (ParseHosts syntax;
-// newlines are treated as separators, '#' starts a comment line).
-func loadHostsFile(path string) ([]Host, error) {
+func LoadHostsFile(path string) ([]Host, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err

@@ -17,9 +17,9 @@ import (
 // sequence space (wire v7 packs the dispatch id into the high half of
 // every sequence number), its own ready queue — and every live
 // dispatch feeds the fleet's slot runners concurrently. An idle
-// connection claims from whichever dispatch the fairness policy picks
-// (FIFO arrival order by default, see fairness.go), stealing across
-// tenants whenever its own last dispatch has nothing eligible.
+// connection claims from the oldest dispatch with eligible work,
+// stealing across tenants whenever its own last dispatch has nothing
+// eligible.
 //
 // Determinism is untouched: which connection claims a job, from which
 // tenant, in what order, is pure scheduling. Every task settles
@@ -37,10 +37,8 @@ import (
 // half). Deliver continuations run outside the mutex: a slow consumer
 // stalls its own connection, never the scheduler.
 type dispatch struct {
-	id      uint32 // joins the wire sequence space: seq = id<<32 | k
-	arrival uint64 // fleet-wide admission order, drives FIFO fairness
-	weight  float64
-	tasks   []task
+	id                 uint32 // joins the wire sequence space: seq = id<<32 | k
+	tasks              []task
 	reqFrame, resFrame byte
 	// clamp caps one connection's in-flight share of this dispatch at
 	// ⌈tasks/width⌉ — the largest share a connection could hold if the
@@ -144,8 +142,6 @@ func (f *Fleet) dispatch(tasks []task, reqFrame, resFrame byte) error {
 	f.nextID++ // first dispatch id is 1: id 0 is reserved as "no dispatch"
 	d := &dispatch{
 		id:        f.nextID,
-		arrival:   f.arrival,
-		weight:    1,
 		tasks:     tasks,
 		reqFrame:  reqFrame,
 		resFrame:  resFrame,
@@ -154,7 +150,6 @@ func (f *Fleet) dispatch(tasks []task, reqFrame, resFrame byte) error {
 		remaining: len(tasks),
 		done:      make(chan struct{}),
 	}
-	f.arrival++
 	for i := range d.queue {
 		d.queue[i] = i
 	}
@@ -314,10 +309,10 @@ func dialSlot(s *slot) (*workerConn, error) {
 }
 
 // drive runs the windowed pipeline on one live connection: the runner
-// goroutine claims tasks from whichever dispatch the fairness policy
-// picks and writes request frames while the adaptive window has a
-// free slot; the matcher goroutine consumes the connection's
-// persistent frame reader and settles replies by sequence number.
+// goroutine claims tasks from the oldest eligible dispatch and writes
+// request frames while the adaptive window has a free slot; the
+// matcher goroutine consumes the connection's persistent frame reader
+// and settles replies by sequence number.
 // Unlike the pre-PR10 engine, drive does not return when a dispatch
 // drains — the connection stays parked inside the claim wait, already
 // warm for the next tenant. It returns only when the connection dies
@@ -407,58 +402,24 @@ func (f *Fleet) tryClaimLocked(s *slot, wc *workerConn, cs *connState) (claim, b
 }
 
 // pickLocked chooses which live dispatch this connection claims from:
-// the fairness policy picks among the dispatches with queued work
-// whose per-connection clamp this connection has not filled. The
-// second result reports a steal — the connection switched away from a
-// dispatch that is still live.
+// the oldest one with queued work whose per-connection clamp this
+// connection has not filled. The second result reports a steal — the
+// connection switched away from a dispatch that is still live.
 func (f *Fleet) pickLocked(s *slot) (*dispatch, bool) {
-	var d *dispatch
-	if f.fair == nil {
-		// FIFO fast path: first eligible dispatch in arrival order,
-		// no view construction.
-		for _, c := range f.live {
-			if len(c.queue) > 0 && s.perDisp[c.id] < c.clamp {
-				d = c
-				break
+	for _, d := range f.live {
+		if len(d.queue) == 0 || s.perDisp[d.id] >= d.clamp {
+			continue
+		}
+		if s.lastDisp != 0 && s.lastDisp != d.id {
+			for _, c := range f.live {
+				if c.id == s.lastDisp {
+					return d, true
+				}
 			}
 		}
-	} else {
-		f.elig = f.elig[:0]
-		f.views = f.views[:0]
-		for _, c := range f.live {
-			if len(c.queue) > 0 && s.perDisp[c.id] < c.clamp {
-				f.elig = append(f.elig, c)
-				f.views = append(f.views, DispatchView{
-					ID:      c.id,
-					Arrival: c.arrival,
-					Queued:  len(c.queue),
-					Total:   len(c.tasks),
-					Weight:  c.weight,
-				})
-			}
-		}
-		if len(f.elig) == 0 {
-			return nil, false
-		}
-		i := f.fair.Pick(f.views)
-		if i < 0 || i >= len(f.elig) {
-			i = 0
-		}
-		d = f.elig[i]
+		return d, false
 	}
-	if d == nil {
-		return nil, false
-	}
-	steal := false
-	if s.lastDisp != 0 && s.lastDisp != d.id {
-		for _, c := range f.live {
-			if c.id == s.lastDisp {
-				steal = true
-				break
-			}
-		}
-	}
-	return d, steal
+	return nil, false
 }
 
 // finishConn retires one connection: close it, join its matcher, then

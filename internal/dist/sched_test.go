@@ -1,10 +1,10 @@
 // Multi-tenant scheduler tests (PR 10): concurrent dispatches over one
 // shared fleet must each stay byte-identical to their own in-process
 // serial run — Stats.Executed included — under clean schedules, chaos
-// faults, and mid-session membership changes, for every fairness
-// policy. This is the differential acceptance criterion of the
-// multi-tenant tentpole: tenancy, stealing, and fairness are pure
-// scheduling, so no tenant can ever observe another.
+// faults, and mid-session membership changes. This is the
+// differential acceptance criterion of the multi-tenant scheduler:
+// tenancy and stealing are pure scheduling, so no tenant can ever
+// observe another.
 package dist
 
 import (
@@ -103,8 +103,8 @@ func runTenants(t *testing.T, f *Fleet, r tenantRefs) {
 
 // TestConcurrentDispatchesDifferential is the tentpole differential:
 // three tenants (two batches + one sweep) run concurrently over one
-// shared two-worker fleet under each fairness policy, and each
-// tenant's bytes must match its own serial run exactly.
+// shared two-worker fleet, and each tenant's bytes must match its own
+// serial run exactly.
 func TestConcurrentDispatchesDifferential(t *testing.T) {
 	wl, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -120,28 +120,14 @@ func TestConcurrentDispatchesDifferential(t *testing.T) {
 	go ServeListener(wl2)
 
 	r := newTenantRefs(t)
-	policies := []struct {
-		name string
-		fair Fairness
-	}{
-		{"fifo-default", nil},
-		{"fifo", FIFO{}},
-		{"deepest-queue", DeepestQueue{}},
-		{"weighted", Weighted{}},
-	}
-	for _, tc := range policies {
-		t.Run(tc.name, func(t *testing.T) {
-			f, err := Dial(Config{
-				Hosts:    tcpHosts(wl.Addr().String(), wl2.Addr().String()),
-				Fairness: tc.fair,
-			})
-			if err != nil {
-				t.Fatalf("fleet dial failed: %v", err)
-			}
-			defer f.Close()
-			runTenants(t, f, r)
-		})
-	}
+	t.Run("fifo-default", func(t *testing.T) {
+		f, err := Dial(Config{Hosts: tcpHosts(wl.Addr().String(), wl2.Addr().String())})
+		if err != nil {
+			t.Fatalf("fleet dial failed: %v", err)
+		}
+		defer f.Close()
+		runTenants(t, f, r)
+	})
 }
 
 // TestConcurrentDispatchesUnderChaos reruns the multi-tenant
@@ -287,35 +273,6 @@ func TestSnapshotDuringConcurrentDispatches(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("no snapshot completed while dispatches were live")
-	}
-}
-
-// TestFairnessPolicies pins the pure policy arithmetic: FIFO always
-// serves the head, DeepestQueue the longest queue (ties to the older
-// dispatch), Weighted the largest weighted remaining fraction.
-func TestFairnessPolicies(t *testing.T) {
-	views := []DispatchView{
-		{ID: 1, Arrival: 1, Queued: 3, Total: 10, Weight: 1},
-		{ID: 2, Arrival: 2, Queued: 8, Total: 10, Weight: 1},
-		{ID: 3, Arrival: 3, Queued: 8, Total: 10, Weight: 1},
-	}
-	if got := (FIFO{}).Pick(views); got != 0 {
-		t.Errorf("FIFO.Pick = %d, want 0", got)
-	}
-	if got := (DeepestQueue{}).Pick(views); got != 1 {
-		t.Errorf("DeepestQueue.Pick = %d, want 1 (deepest, older on tie)", got)
-	}
-	if got := (Weighted{}).Pick(views); got != 1 {
-		t.Errorf("Weighted.Pick = %d, want 1 (equal weights reduce to deepest fraction)", got)
-	}
-	weighted := []DispatchView{
-		{ID: 1, Arrival: 1, Queued: 4, Total: 10, Weight: 1},
-		{ID: 2, Arrival: 2, Queued: 2, Total: 10, Weight: 5},
-		{ID: 3, Arrival: 3, Queued: 9, Total: 10, Weight: 0}, // 0 weight reads as 1
-	}
-	// Scores: 0.4, 1.0 (2/10·5), 0.9 — the weight hint beats raw depth.
-	if got := (Weighted{}).Pick(weighted); got != 1 {
-		t.Errorf("Weighted.Pick = %d, want 1 (weighted fraction 1.0 wins)", got)
 	}
 }
 

@@ -586,21 +586,19 @@ func ServeWith(r io.Reader, w io.Writer, opts ServeOptions) error {
 	}
 }
 
-// ServeStdio serves the worker protocol on stdin/stdout — the transport
-// of coordinator-spawned subprocess workers.
-func ServeStdio() error { return ServeWith(os.Stdin, os.Stdout, ServeOptions{Name: "stdio"}) }
-
-// MaybeServeStdio turns the current process into a stdio worker and
-// exits when the WorkerEnv marker is set, and returns immediately
-// otherwise. Binaries that want to be their own worker fleet (every
-// cmd/ main of this repo, test binaries) call it first thing in main —
-// the coordinator's default WorkerCmd re-executes the current binary
-// with the marker set, so a single binary serves both roles.
+// MaybeServeStdio turns the current process into a stdio worker —
+// serving the worker protocol on stdin/stdout, the transport of
+// coordinator-spawned subprocess workers — and exits when the
+// WorkerEnv marker is set, and returns immediately otherwise. Binaries
+// that want to be their own worker fleet (every cmd/ main of this
+// repo, test binaries) call it first thing in main — the coordinator's
+// default WorkerCmd re-executes the current binary with the marker
+// set, so a single binary serves both roles.
 func MaybeServeStdio() {
 	if os.Getenv(WorkerEnv) == "" {
 		return
 	}
-	if err := ServeStdio(); err != nil {
+	if err := ServeWith(os.Stdin, os.Stdout, ServeOptions{Name: "stdio"}); err != nil {
 		fmt.Fprintln(os.Stderr, "rvworker:", err)
 		os.Exit(1)
 	}
@@ -612,13 +610,7 @@ func MaybeServeStdio() {
 // parallelism also comes from multiple connections or multiple worker
 // processes). It returns the first Accept error; per-connection
 // protocol errors are reported to stderr and end only their connection.
-func ServeListener(l net.Listener) error { return ServeListenerWith(l, ServeOptions{}) }
-
-// ServeListenerWith is ServeListener with explicit options (the
-// rvworker -pool and -v flags).
-func ServeListenerWith(l net.Listener, opts ServeOptions) error {
-	return NewServer(opts).Serve(l)
-}
+func ServeListener(l net.Listener) error { return NewServer(ServeOptions{}).Serve(l) }
 
 // Server is a TCP worker with graceful shutdown: Serve accepts
 // connections like ServeListener, and Shutdown drains — stop
@@ -733,17 +725,3 @@ func (s *Server) Shutdown() int {
 // single source of truth, so the drain log can never disagree with
 // /metrics.
 func RepliesFlushed() uint64 { return wReplies.Value() + wErrors.Value() }
-
-// ListenAndServe listens on the TCP address and serves worker
-// connections forever (the cmd/rvworker -listen mode).
-func ListenAndServe(addr string) error { return ListenAndServeWith(addr, ServeOptions{}) }
-
-// ListenAndServeWith is ListenAndServe with explicit options.
-func ListenAndServeWith(addr string, opts ServeOptions) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	slog.Info("rvworker: listening", "addr", l.Addr().String())
-	return ServeListenerWith(l, opts)
-}

@@ -17,22 +17,13 @@ import (
 
 // Figures regenerates the paper's five figures as SVG documents, keyed
 // "fig1" … "fig5". Each is drawn from computed geometry or actually
-// simulated trajectories, not hand-placed artwork.
-func Figures() map[string]string { return FiguresWith(0) }
-
-// FiguresWith regenerates the figures, fanning the simulated runs
-// behind Fig4 and Fig5 through the batch pool with the given worker
-// count (0 selects GOMAXPROCS). Output is identical for every count.
-func FiguresWith(workers int) map[string]string {
-	return FiguresDist(Budgets{Workers: workers})
-}
-
-// FiguresDist is FiguresWith with an optional worker fleet
-// (Budgets.Dist): Fig4's wire-formed AURV run may execute in a worker
-// process — its recorded trajectory crosses the codec bit-exactly —
-// while Fig5's closure-built dedicated algorithm stays in-process.
-// Output is identical either way.
-func FiguresDist(b Budgets) map[string]string {
+// simulated trajectories, not hand-placed artwork. The simulated runs
+// behind Fig4 and Fig5 go through b's batch pool (b.Workers, 0 selects
+// GOMAXPROCS) and, when b.Fleet is set, Fig4's wire-formed AURV run
+// may execute in a worker process — its recorded trajectory crosses
+// the codec bit-exactly — while Fig5's closure-built dedicated
+// algorithm stays in-process. Output is identical for every b.
+func Figures(b Budgets) map[string]string {
 	jobs := []batch.Job{fig4Job(), fig5Job()}
 	res, _ := b.run(jobs)
 	return map[string]string{

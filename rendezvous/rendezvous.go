@@ -310,9 +310,9 @@ func SimulateBatchStream(ins []Instance, alg Algorithm, s Settings) <-chan Resul
 // multi-tenant: concurrent calls from different goroutines share the
 // workers through one scheduler, each call keeping its own result
 // space (DESIGN.md §13). Session reuse, tenancy, and live membership
-// (AddHost / Retire / WatchHosts) are all pure scheduling: every batch
-// remains byte-identical to the in-process serial run, exactly as for
-// the one-shot entry points.
+// (WatchHosts) are all pure scheduling: every batch remains
+// byte-identical to the in-process serial run, exactly as for the
+// one-shot entry points.
 type Fleet struct {
 	f *dist.Fleet
 }
@@ -361,26 +361,6 @@ func (f *Fleet) SimulateBatchStream(ins []Instance, alg Algorithm, s Settings) <
 // process-wide metrics registry. Observation only — the probe rides
 // the liveness ping machinery and perturbs no batch.
 func (f *Fleet) Snapshot() dist.FleetSnapshot { return f.f.Snapshot() }
-
-// AddHost dials one "host:port" (optionally "host:port*pool") TCP
-// worker endpoint and adds it to the running session; its connection
-// starts serving live batches immediately. Adding an address that
-// already has an active slot is an error.
-func (f *Fleet) AddHost(addr string) error {
-	hosts, err := dist.ParseHosts(addr)
-	if err != nil {
-		return err
-	}
-	if len(hosts) != 1 {
-		return errors.New("rendezvous: AddHost takes exactly one host address")
-	}
-	return f.f.AddHost(hosts[0])
-}
-
-// Retire drains the worker at addr out of the session: in-flight jobs
-// requeue to the remaining workers and the slot leaves service. It
-// blocks until the drain completes.
-func (f *Fleet) Retire(addr string) error { return f.f.Retire(addr) }
 
 // WatchHosts keeps the session's TCP membership reconciled against a
 // hosts file (ParseHosts syntax, newline- or comma-separated, '#'
