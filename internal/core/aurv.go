@@ -24,6 +24,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"sync"
 
 	"repro/internal/cgkk"
 	"repro/internal/geom"
@@ -115,11 +116,14 @@ func Compact() Schedule {
 
 // Progress is an optional observer of the generated program. Because
 // programs are lazy, the fields reflect exactly how far a simulation
-// pulled from the generator. Note that the simulator's wait coalescing
-// pulls one instruction ahead of execution when fusing a run of waits,
-// so a run halting inside a fused wait at a block boundary can report
-// the following block as started even though none of its instructions
-// executed (sim.Settings.NoWaitCoalesce restores pull == execute).
+// pulled from the generator. Passing one to Program opts out of the
+// shared tape: an observed program is a private generator, since only
+// a generator's own pulls say how far its run got. Note that the
+// simulator's wait coalescing pulls one instruction ahead of execution
+// when fusing a run of waits, so a run halting inside a fused wait at a
+// block boundary can report the following block as started even though
+// none of its instructions executed (sim.Settings.NoWaitCoalesce
+// restores pull == execute).
 type Progress struct {
 	Phase int // last phase started (1-based)
 	Block int // last block started within the phase (1-4)
@@ -256,9 +260,41 @@ func (c *aurvCursor) Close() {
 }
 
 // Program returns Algorithm AlmostUniversalRV as an infinite program.
-// If p is non-nil it is updated as phases and blocks are generated:
-// each block's marker fires when the simulation first pulls from that
-// block, so the fields reflect how far a lazy run actually got.
+//
+// With p nil and a canonical schedule (Schedule.Canonical — the
+// identity the wire registry trusts), the program is a pure function
+// of the schedule's name, the same for every instance and both agents,
+// so Program returns the schedule's process-wide prog.Tape: the stream
+// is generated once per process and every simulation reads it, with
+// each move's direction already resolved. Callers share it without
+// doing anything; it is the same Program value on every call.
+//
+// If p is non-nil, or the schedule was tweaked, Program returns a fresh
+// generator instead. p is then updated as phases and blocks are
+// generated: each block's marker fires when the simulation first pulls
+// from that block, so the fields reflect how far a lazy run actually
+// got.
 func Program(s Schedule, p *Progress) prog.Program {
+	if p == nil && s.Canonical() {
+		if tape, ok := tapes[s.Name]; ok {
+			return tape()
+		}
+	}
+	return generator(s, p)
+}
+
+// generator returns Algorithm AlmostUniversalRV as a program whose
+// every iteration builds its own cursor.
+func generator(s Schedule, p *Progress) prog.Program {
 	return prog.CursorProgram(func() prog.Cursor { return &aurvCursor{s: s, p: p} })
+}
+
+// tapes holds the process-wide tape of each canonical schedule, by
+// name, built on first use.
+var tapes = map[string]func() prog.Program{}
+
+func init() {
+	for _, s := range []Schedule{Compact(), Faithful()} {
+		tapes[s.Name] = sync.OnceValue(func() prog.Program { return prog.NewTape(generator(s, nil)).Program() })
+	}
 }

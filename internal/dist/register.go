@@ -27,14 +27,14 @@ const (
 // package puts on its Algorithm values (rendezvous has a test pinning
 // the correspondence); per-instance dedicated algorithms are closures
 // without stable identity and deliberately have no wire names — their
-// jobs always run in the coordinator process.
+// jobs always run in the coordinator process. The AlmostUniversalRV
+// programs ignore the instance, so each is built once here and shared
+// by every job (each is its schedule's process-wide tape, which stays
+// empty until a job reads it; see core.Program).
 func init() {
-	wire.RegisterAlgorithm(AlgAURVCompact, func(inst.Instance) prog.Program {
-		return core.Program(core.Compact(), nil)
-	})
-	wire.RegisterAlgorithm(AlgAURVFaithful, func(inst.Instance) prog.Program {
-		return core.Program(core.Faithful(), nil)
-	})
+	compact, faithful := core.Program(core.Compact(), nil), core.Program(core.Faithful(), nil)
+	wire.RegisterAlgorithm(AlgAURVCompact, func(inst.Instance) prog.Program { return compact })
+	wire.RegisterAlgorithm(AlgAURVFaithful, func(inst.Instance) prog.Program { return faithful })
 	wire.RegisterAlgorithm(AlgCGKK, func(inst.Instance) prog.Program {
 		return cgkk.Program(cgkk.Compact())
 	})

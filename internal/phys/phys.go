@@ -58,7 +58,8 @@ func (a Attributes) ToLocal(q geom.Vec2) geom.Vec2 {
 }
 
 // DirAbs maps a unit direction given as a local polar angle to the
-// absolute unit direction.
+// absolute unit direction. While executing go(theta, ·) the agent moves
+// with velocity DirAbs(theta)·v.
 func (a Attributes) DirAbs(theta float64) geom.Vec2 {
 	return a.Frame().Apply(geom.Polar(theta))
 }
@@ -74,12 +75,6 @@ func (a Attributes) MoveDuration(dLocal float64) float64 {
 // units last z·τ absolute units.
 func (a Attributes) WaitDuration(zLocal float64) float64 {
 	return zLocal * a.Tau
-}
-
-// AbsVelocity returns the absolute velocity vector while executing
-// go(theta, ·): speed v in the absolute direction of the local angle.
-func (a Attributes) AbsVelocity(theta float64) geom.Vec2 {
-	return a.DirAbs(theta).Scale(a.Speed)
 }
 
 // Valid reports whether the attribute bundle is physically meaningful.

@@ -109,9 +109,11 @@ func TestDurationsAndUnit(t *testing.T) {
 	}
 }
 
-func TestAbsVelocity(t *testing.T) {
+// TestMoveVelocity: go(dir, d) moves at speed v along DirAbs(dir) and
+// covers d·u absolute distance in its MoveDuration.
+func TestMoveVelocity(t *testing.T) {
 	a := Attributes{Chi: 1, Tau: 2, Speed: 3}
-	v := a.AbsVelocity(0)
+	v := a.DirAbs(0).Scale(a.Speed)
 	if !v.ApproxEqual(geom.V(3, 0), 1e-12) {
 		t.Errorf("velocity = %v", v)
 	}

@@ -12,6 +12,16 @@
 // Instructions are pulled through the prog cursor engine: cursor-backed
 // programs (every prog combinator) are drained by direct calls, and only
 // opaque hand-written push closures fall back to an iter.Pull coroutine.
+// A tape-backed program (prog.Tape — Algorithm 1 under a canonical
+// schedule) is read in chunks of steps whose move directions the tape
+// resolved once for the whole process, so the runner turns them into
+// velocities with its frame R_φ·S_χ (computed once per run) and no
+// trigonometry. Moves a generator serves — past the tape's cap, or of
+// any other program — resolve their direction through a small memo of
+// geom.Polar keyed by the angle's bits, which runs recycle. Both paths
+// memoize pure functions, so every Result is bit-identical to resolving
+// each move from scratch.
+//
 // Consecutive wait instructions are fused into a single segment (wait
 // coalescing), so a run of padding and scheduling waits costs one event
 // and one Segments unit instead of many; Settings.NoWaitCoalesce
@@ -30,6 +40,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"repro/internal/dd"
@@ -230,8 +241,12 @@ const waitFuseLimit = 4096
 // runner is the per-agent execution state.
 type runner struct {
 	attrs  phys.Attributes
-	cur    prog.Cursor // instruction source (cursor fast path or iter.Pull adapter)
-	radius float64     // effective sight radius
+	frame  geom.Mat2        // attrs.Frame(): the local→absolute rotation/reflection
+	cur    prog.Cursor      // instruction source; past a tape's cap, the tape's private generator
+	tape   *prog.TapeCursor // the program's cursor while it is a tape with steps left, else nil
+	steps  []prog.Step      // tape steps fetched and not yet taken
+	memo   *dirMemo         // directions of generator-served moves, taken from dirMemos on first use
+	radius float64          // effective sight radius
 
 	pos     geom.Vec2 // position at segStart
 	vel     geom.Vec2 // velocity during the current segment
@@ -242,6 +257,7 @@ type runner struct {
 	srcDone bool      // the instruction source is exhausted
 
 	pending    prog.Instr // look-ahead instruction buffered by wait coalescing
+	pendingDir *geom.Vec2 // its tape direction, nil when a generator served it
 	hasPending bool
 	coalesce   bool
 	maxTime    dd.T // fusing horizon: waits beyond it cannot matter
@@ -252,10 +268,15 @@ type runner struct {
 	cap     int
 }
 
-func newRunner(spec AgentSpec, slack float64, traceCap int, maxTime dd.T, coalesce bool) *runner {
-	r := &runner{
+// init readies r to execute the agent's program from its wake-up.
+func (r *runner) init(spec AgentSpec, slack float64, traceCap int, maxTime dd.T, coalesce bool) {
+	cur := prog.NewCursor(spec.Prog)
+	tape, _ := cur.(*prog.TapeCursor)
+	*r = runner{
 		attrs:    spec.Attrs,
-		cur:      prog.NewCursor(spec.Prog),
+		frame:    spec.Attrs.Frame(),
+		cur:      cur,
+		tape:     tape,
 		radius:   spec.Radius*(1+slack) + 1e-12,
 		pos:      spec.Attrs.Origin,
 		segEnd:   dd.FromFloat(spec.Attrs.Wake),
@@ -265,27 +286,107 @@ func newRunner(spec AgentSpec, slack float64, traceCap int, maxTime dd.T, coales
 		cap:      traceCap,
 	}
 	r.record(0)
-	return r
 }
 
-// stop releases the runner's instruction source (idempotent).
-func (r *runner) stop() { r.cur.Close() }
+// stop releases the runner's instruction source and direction memo
+// (idempotent).
+func (r *runner) stop() {
+	r.cur.Close()
+	if r.memo != nil {
+		dirMemos.Put(r.memo)
+		r.memo = nil
+	}
+}
 
 // take returns the next program instruction, honoring the look-ahead
-// buffer filled by wait coalescing.
-func (r *runner) take() (prog.Instr, bool) {
+// buffer filled by wait coalescing. dir is the move direction the tape
+// stored for it, or nil when a generator served it.
+func (r *runner) take() (ins prog.Instr, dir *geom.Vec2, ok bool) {
 	if r.hasPending {
 		r.hasPending = false
-		return r.pending, true
+		return r.pending, r.pendingDir, true
+	}
+	if len(r.steps) > 0 || r.tape != nil && r.fetch() {
+		st := &r.steps[0]
+		r.steps = r.steps[1:]
+		return st.Instr, &st.Dir, true
 	}
 	if r.srcDone {
-		return prog.Instr{}, false
+		return prog.Instr{}, nil, false
 	}
-	ins, ok := r.cur.Next()
-	if !ok {
+	if ins, ok = r.cur.Next(); !ok {
 		r.srcDone = true
 	}
-	return ins, ok
+	return ins, nil, ok
+}
+
+// fetch refills the step buffer from the tape. Once the tape holds no
+// more steps for this runner, the stream's rest — past the cap, a
+// private generator — becomes the runner's source and fetch reports
+// false from then on.
+func (r *runner) fetch() bool {
+	if r.steps = r.tape.Steps(); len(r.steps) > 0 {
+		return true
+	}
+	r.cur, r.tape = r.tape.Rest(), nil
+	return false
+}
+
+// velocity returns the absolute velocity of a move along the local
+// angle theta, whose unit direction geom.Polar(theta) is *dir when the
+// tape stored it. It is phys.Attributes.DirAbs(theta).Scale(Speed),
+// bit for bit, with the frame computed once and the direction looked
+// up rather than recomputed.
+func (r *runner) velocity(theta float64, dir *geom.Vec2) geom.Vec2 {
+	if dir == nil {
+		if r.memo == nil {
+			r.memo = dirMemos.Get().(*dirMemo)
+		}
+		dir = r.memo.polar(theta)
+	}
+	return r.frame.Apply(*dir).Scale(r.attrs.Speed)
+}
+
+// dirMemoBits sizes the direction memo: 2^dirMemoBits slots.
+const dirMemoBits = 6
+
+// dirMemo is a direct-mapped cache of geom.Polar keyed by the angle's
+// float64 bits, so equal keys are equal inputs and a hit is exact. The
+// programs repeat few directions over long stretches (a planar walk
+// uses four per rotation, a backtrack the same ones turned by π), so a
+// handful of slots absorbs nearly every sin/cos a long run would pay.
+type dirMemo [1 << dirMemoBits]struct {
+	bits uint64
+	dir  geom.Vec2
+}
+
+// dirMemos recycles memos between runs. Every entry is exact for any
+// run, so a recycled memo needs no reset, and the short generator-served
+// runs of a batch start warm and allocate nothing.
+var dirMemos = sync.Pool{New: func() any { return newDirMemo() }}
+
+// newDirMemo returns a memo whose slots all hold the angle +0 (bits 0)
+// and its direction, so no slot needs a validity flag.
+func newDirMemo() *dirMemo {
+	m, d0 := new(dirMemo), geom.Polar(0)
+	for i := range m {
+		m[i].dir = d0
+	}
+	return m
+}
+
+// dirSlot hashes an angle's bits to its memo slot.
+func dirSlot(bits uint64) uint64 { return (bits * 0x9E3779B97F4A7C15) >> (64 - dirMemoBits) }
+
+// polar returns geom.Polar(theta) from the slot theta's bits hash to,
+// recomputing it on a miss.
+func (m *dirMemo) polar(theta float64) *geom.Vec2 {
+	b := math.Float64bits(theta)
+	e := &m[dirSlot(b)]
+	if e.bits != b {
+		e.bits, e.dir = b, geom.Polar(theta)
+	}
+	return &e.dir
 }
 
 // record appends a decimated trace point at absolute time t.
@@ -329,7 +430,7 @@ func (r *runner) advanceTo(now dd.T, t dd.T) {
 // way, so fused and unfused runs agree on every boundary exactly.
 func (r *runner) loadSegment(start dd.T) bool {
 	for {
-		ins, ok := r.take()
+		ins, dir, ok := r.take()
 		if !ok {
 			r.ended = true
 			r.vel = geom.Vec2{}
@@ -345,7 +446,7 @@ func (r *runner) loadSegment(start dd.T) bool {
 				r.fuseWaits()
 			}
 		} else {
-			r.vel = r.attrs.AbsVelocity(ins.Theta)
+			r.vel = r.velocity(ins.Theta, dir)
 		}
 		// Absolute end = wake + τ·local, computed from the exact local
 		// accumulator so long schedules do not drift.
@@ -366,7 +467,7 @@ func (r *runner) fuseWaits() {
 		if r.maxTime.LessEq(r.local.MulFloat(r.attrs.Tau).AddFloat(r.attrs.Wake)) {
 			return
 		}
-		ins, ok := r.take()
+		ins, dir, ok := r.take()
 		if !ok {
 			return
 		}
@@ -374,7 +475,7 @@ func (r *runner) fuseWaits() {
 			continue
 		}
 		if ins.Op != prog.OpWait {
-			r.pending, r.hasPending = ins, true
+			r.pending, r.pendingDir, r.hasPending = ins, dir, true
 			return
 		}
 		r.local = r.local.AddFloat(ins.Duration())
@@ -397,8 +498,9 @@ func Run(a, b AgentSpec, s Settings) Result {
 		s.MaxSegments = math.MaxInt
 	}
 	maxTime := dd.FromFloat(s.MaxTime)
-	ra := newRunner(a, s.SightSlack, s.TraceCap, maxTime, !s.NoWaitCoalesce)
-	rb := newRunner(b, s.SightSlack, s.TraceCap, maxTime, !s.NoWaitCoalesce)
+	var ra, rb runner
+	ra.init(a, s.SightSlack, s.TraceCap, maxTime, !s.NoWaitCoalesce)
+	rb.init(b, s.SightSlack, s.TraceCap, maxTime, !s.NoWaitCoalesce)
 	defer ra.stop()
 	defer rb.stop()
 
@@ -435,7 +537,7 @@ func Run(a, b AgentSpec, s Settings) Result {
 
 	for {
 		// Ensure both runners have a current segment covering `now`.
-		for _, r := range [2]*runner{ra, rb} {
+		for _, r := range [2]*runner{&ra, &rb} {
 			for !r.frozen && !r.ended && r.segEnd.LessEq(now) {
 				if segments++; segments > s.MaxSegments {
 					noteGap(ra.pos.Dist(rb.pos), now)
@@ -450,7 +552,7 @@ func Run(a, b AgentSpec, s Settings) Result {
 		// Determine the end of the current homogeneous interval.
 		end := maxTime
 		active := false
-		for _, r := range [2]*runner{ra, rb} {
+		for _, r := range [2]*runner{&ra, &rb} {
 			if !r.frozen && !r.ended {
 				end = dd.Min(end, r.segEnd)
 				active = true

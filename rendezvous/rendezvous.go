@@ -119,11 +119,15 @@ func AlmostUniversalRV() Algorithm { return AlmostUniversalRVWith(core.Compact()
 // Only a schedule still exactly as a standard constructor built it
 // (Schedule.Canonical) gets a wire identity: a tweaked schedule keeps
 // working in-process but is never shipped to workers under a name that
-// would rebuild the untweaked program there.
+// would rebuild the untweaked program there. The program ignores the
+// instance, so it is built once here and shared by every simulation of
+// the Algorithm (for a canonical schedule it is the process-wide tape
+// core.Program returns).
 func AlmostUniversalRVWith(s Schedule) Algorithm {
+	p := core.Program(s, nil)
 	alg := Algorithm{
 		Name:    "AlmostUniversalRV(" + s.Name + ")",
-		Program: func(Instance) prog.Program { return core.Program(s, nil) },
+		Program: func(Instance) prog.Program { return p },
 	}
 	if s.Canonical() {
 		alg.wireName = alg.Name
@@ -186,10 +190,12 @@ var (
 
 // batchJobs builds the batch job list for a SimulateBatch-style call:
 // per-instance agent specs, the memoization key (unless disabled), and
-// — when the algorithm carries a wire identity that is registered — the
-// serializable wire form that lets the job execute in a worker process.
-func batchJobs(ins []Instance, alg Algorithm, s Settings) []batch.Job {
-	registered := alg.wireName != "" && wire.Registered(alg.wireName)
+// — when the batch may reach a fleet (wired) and the algorithm carries
+// a wire identity that is registered — the serializable wire form that
+// lets the job execute in a worker process. In-process execution never
+// reads the wire form, so an unwired batch does not build one.
+func batchJobs(ins []Instance, alg Algorithm, s Settings, wired bool) []batch.Job {
+	registered := wired && alg.wireName != "" && wire.Registered(alg.wireName)
 	jobs := make([]batch.Job, len(ins))
 	for i, in := range ins {
 		jobs[i] = batch.Job{
@@ -279,7 +285,8 @@ func batchConfig(s Settings) dist.Config {
 // occurrence — set Settings.NoBatchMemoize to run every job.
 func SimulateBatch(ins []Instance, alg Algorithm, s Settings) []Result {
 	start := batchStart()
-	res, _ := dist.RunOrFallback(batchJobs(ins, alg, s), s.Parallelism, batchConfig(s))
+	cfg := batchConfig(s)
+	res, _ := dist.RunOrFallback(batchJobs(ins, alg, s, cfg.Enabled()), s.Parallelism, cfg)
 	recordBatch(len(ins), start)
 	return res
 }
@@ -299,7 +306,8 @@ func SimulateBatch(ins []Instance, alg Algorithm, s Settings) []Result {
 func SimulateBatchStream(ins []Instance, alg Algorithm, s Settings) <-chan Result {
 	mBatches.Inc()
 	mSims.Add(uint64(len(ins)))
-	return dist.StreamOrFallback(batchJobs(ins, alg, s), s.Parallelism, batchConfig(s))
+	cfg := batchConfig(s)
+	return dist.StreamOrFallback(batchJobs(ins, alg, s, cfg.Enabled()), s.Parallelism, cfg)
 }
 
 // Fleet is a persistent worker session for batch simulation: dial the
@@ -342,7 +350,7 @@ func DialFleet(s Settings) (*Fleet, error) {
 // Window, …) are ignored here — the session fixed them at dial time.
 func (f *Fleet) SimulateBatch(ins []Instance, alg Algorithm, s Settings) []Result {
 	start := batchStart()
-	res, _ := f.f.RunOrFallback(batchJobs(ins, alg, s), s.Parallelism)
+	res, _ := f.f.RunOrFallback(batchJobs(ins, alg, s, true), s.Parallelism)
 	recordBatch(len(ins), start)
 	return res
 }
@@ -352,7 +360,7 @@ func (f *Fleet) SimulateBatch(ins []Instance, alg Algorithm, s Settings) []Resul
 func (f *Fleet) SimulateBatchStream(ins []Instance, alg Algorithm, s Settings) <-chan Result {
 	mBatches.Inc()
 	mSims.Add(uint64(len(ins)))
-	return f.f.StreamOrFallback(batchJobs(ins, alg, s), s.Parallelism)
+	return f.f.StreamOrFallback(batchJobs(ins, alg, s, true), s.Parallelism)
 }
 
 // Snapshot reports the session's flight-recorder state: per-slot
