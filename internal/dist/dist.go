@@ -364,13 +364,17 @@ func (wc *workerConn) startReader() {
 	}()
 }
 
-// send writes one seq-prefixed request frame and flushes it onto the
-// wire, so a job is visible to the worker the moment send returns.
-func (wc *workerConn) send(seq uint64, typ byte, payload []byte) error {
+// sendAll writes a burst of seq-prefixed request frames and flushes
+// them onto the wire once, so every job of the burst is visible to the
+// worker the moment sendAll returns. A burst that fits the write
+// buffer reaches the transport in one write.
+func (wc *workerConn) sendAll(burst []claim) error {
 	wc.wmu.Lock()
 	defer wc.wmu.Unlock()
-	if err := wc.fw.WriteFrameSeq(typ, seq, payload); err != nil {
-		return err
+	for _, cl := range burst {
+		if err := wc.fw.WriteFrameSeq(cl.typ, cl.seq, cl.payload); err != nil {
+			return err
+		}
 	}
 	return wc.bw.Flush()
 }
@@ -404,7 +408,7 @@ func assemble(cfg Config) ([]*slot, []error) {
 		go func(k int, h Host) {
 			defer wg.Done()
 			name := "tcp:" + h.Addr
-			s := &slot{name: name, met: newSlotMetrics(name), dial: func() (*workerConn, error) { return dialWorker(h, cfg) }}
+			s := &slot{name: name, met: newSlotMetrics(name), pool: h.Pool, dial: func() (*workerConn, error) { return dialWorker(h, cfg) }}
 			if s.wc, errs[k] = s.dial(); errs[k] == nil {
 				s.wc.win = newAdaptiveWindow(cfg)
 				slots[k] = s
@@ -416,9 +420,10 @@ func assemble(cfg Config) ([]*slot, []error) {
 			defer wg.Done()
 			name := fmt.Sprintf("proc:%d", k)
 			s := &slot{
-				name: name,
-				met:  newSlotMetrics(name),
-				dial: func() (*workerConn, error) { return spawnWorker(cfg, k) },
+				name:  name,
+				met:   newSlotMetrics(name),
+				local: true,
+				dial:  func() (*workerConn, error) { return spawnWorker(cfg, k) },
 			}
 			if s.wc, errs[len(cfg.Hosts)+k] = s.dial(); errs[len(cfg.Hosts)+k] == nil {
 				s.wc.win = newAdaptiveWindow(cfg)

@@ -34,10 +34,13 @@ import (
 //     settles replies by sequence number). The window is adaptive by
 //     default: it grows toward the connection's bandwidth-delay
 //     product (observed reply RTT ÷ observed service gap) and shrinks
-//     back when the link is fast, bounded by Config.MaxWindow. Replies
-//     may arrive out of order — workers run in-process pools — which
-//     the in-flight map makes irrelevant, and may arrive many to a
-//     frame (wire.FrameReplyBatch) — workers coalesce small results
+//     back when the link is fast, bounded by Config.MaxWindow; of a
+//     dispatch whose per-connection share fits under that cap, a
+//     connection sends as much at once, in one flushed burst, as its
+//     known capacity allows (slot.burst).
+//     Replies may arrive out of order — workers run in-process pools —
+//     which the in-flight map makes irrelevant, and may arrive many to
+//     a frame (wire.FrameReplyBatch) — workers coalesce small results
 //     into one flush per drain.
 //   - In-worker pools. The worker side (Serve) executes the jobs of
 //     one connection concurrently, so a deep window saturates a whole
@@ -64,12 +67,17 @@ const (
 	// starts at when Config.Window (or Settings.Window) is zero, and
 	// the fixed window when adaptation is disabled. Four hides a few
 	// round trips of latency and keeps a small in-worker pool fed
-	// without stockpiling half the batch on one worker.
+	// without stockpiling a large batch on one worker. (Of a dispatch
+	// whose per-connection share fits under the adaptive cap, a
+	// connection of known capacity may take more at once: slot.burst.)
 	DefaultWindow = 4
 	// DefaultMaxWindow bounds adaptive window growth when
-	// Config.MaxWindow is zero. Thirty-two covers a ~30-job
-	// bandwidth-delay product — a WAN round trip over a well-fed
-	// in-worker pool — without letting one slow host hoard the batch.
+	// Config.MaxWindow is zero, and the largest per-connection share
+	// an adaptive connection may take at once (slot.burst).
+	// Thirty-two covers a ~30-job bandwidth-delay product — a WAN round
+	// trip over a well-fed in-worker pool — while a dispatch larger
+	// than 32 jobs per connection stays paced by the controller, so no
+	// host is handed more than 32 jobs at once.
 	DefaultMaxWindow = 32
 	// DefaultMaxRespawns bounds how many times one slot reconnects
 	// after mid-run deaths before retiring. The budget never resets —
@@ -201,6 +209,11 @@ func (c Config) helloTimeout() time.Duration {
 // precision, only direction: too small and the worker starves behind
 // the latency, too large and one connection hoards work a survivor
 // could have claimed on its death.
+//
+// cur is a floor, not always the bound: of a dispatch whose
+// per-connection share fits under max, a connection of known capacity
+// may hold more at once (limit, slot.burst), so cur alone bounds only
+// dispatches larger than width × max and connections without one.
 type adaptiveWindow struct {
 	fixed     bool
 	cur, max  int
@@ -227,21 +240,21 @@ func newAdaptiveWindow(cfg Config) adaptiveWindow {
 	return adaptiveWindow{cur: min(DefaultWindow, max), max: max}
 }
 
-// observe feeds one reply's round-trip time and the service gap it
-// represents (the inter-reply arrival spacing, spread evenly over a
-// coalesced batch) into the controller and steps the window.
-func (w *adaptiveWindow) observe(rtt, gap time.Duration) {
-	if w.fixed {
-		return
-	}
-	// Floor both estimates at clock-resolution scale so a loopback
-	// burst cannot divide by ~zero.
-	const (
-		alpha = 0.3
-		floor = 20e-6
-	)
-	r := math.Max(rtt.Seconds(), floor)
-	g := math.Max(gap.Seconds(), floor)
+// The controller's EWMA weight, and the clock-resolution floor both
+// its estimates are clamped to so a loopback burst cannot divide by
+// ~zero.
+const (
+	windowAlpha = 0.3
+	windowFloor = 20e-6
+)
+
+// observeRTT feeds one reply's round-trip time alone: the minimum that
+// sizes the window's target and the EWMA that arms the liveness
+// deadline. A reply that measures no service gap (settleGap) is
+// observed this way, and leaves the gap estimate and the window as
+// they are.
+func (w *adaptiveWindow) observeRTT(rtt time.Duration) {
+	r := math.Max(rtt.Seconds(), windowFloor)
 	if w.minRTT == 0 || r < w.minRTT {
 		w.minRTT = r
 	}
@@ -251,12 +264,23 @@ func (w *adaptiveWindow) observe(rtt, gap time.Duration) {
 	if w.rtt == 0 {
 		w.rtt = r
 	} else {
-		w.rtt += alpha * (r - w.rtt)
+		w.rtt += windowAlpha * (r - w.rtt)
 	}
+}
+
+// observe feeds one reply's round-trip time and the service gap it
+// represents (the inter-reply arrival spacing, spread evenly over a
+// coalesced batch) into the controller and steps the window.
+func (w *adaptiveWindow) observe(rtt, gap time.Duration) {
+	if w.fixed {
+		return
+	}
+	w.observeRTT(rtt)
+	g := math.Max(gap.Seconds(), windowFloor)
 	if w.gap == 0 {
 		w.gap = g
 	} else {
-		w.gap += alpha * (g - w.gap)
+		w.gap += windowAlpha * (g - w.gap)
 	}
 	// Round, not ceil: the gap EWMA never fully sheds an old sample, so
 	// a ratio that converged to 1 still sits at 1±ε — ceiling it would
@@ -270,12 +294,31 @@ func (w *adaptiveWindow) observe(rtt, gap time.Duration) {
 	}
 }
 
+// limit is the in-flight bound for a claim from a dispatch whose
+// per-connection share is clamp, on a connection allowed a burst of
+// burst jobs of it (slot.burst) — the burst rule, DESIGN.md §8.2. An
+// adaptive connection whose share fits under the cap may hold up to
+// its burst of it at once, so a small dispatch costs one round trip
+// per connection instead of one per job. A larger share, or a fixed
+// window, stays bounded by cur. Either way the bound is at most max.
+func (w *adaptiveWindow) limit(clamp, burst int) int {
+	if w.fixed || clamp > w.max {
+		return w.cur
+	}
+	return max(w.cur, min(clamp, burst))
+}
+
 // settleGap converts one reply frame's arrival into the per-reply
 // service gap observe expects, spreading the inter-frame spacing
-// evenly over a coalesced batch of n replies. ok is false when there
-// is nothing to observe: a fixed window (no bookkeeping at all — the
-// caller skips its time.Now() too) or the first frame after an idle
-// period (no predecessor to measure spacing against).
+// evenly over a coalesced batch of n replies. ok is false when the
+// frame measures no service gap: a fixed window (no bookkeeping at all
+// — the caller skips its time.Now() too), a window that has never
+// received, or the first frame after an idle period (the matcher
+// zeroes lastReply when in-flight drains with nothing left to claim).
+// Spacing back to the last frame before idle would count the idle
+// time, and spacing back to the send is a round trip, not a service
+// gap: the caller observes that frame's round trips alone
+// (observeRTT).
 //
 // A zero gap is NOT a skip case: coalesced same-tick frames (loopback
 // links, coarse clocks) are a genuine observation — the link is at
@@ -373,6 +416,8 @@ type slot struct {
 	retired  bool
 	draining bool         // Retire requested: finish in-flight bookkeeping, then retire
 	met      *slotMetrics // per-slot flight-recorder children, resolved at assembly
+	pool     int          // the host's pool hint (Host.Pool; 0: none)
+	local    bool         // a spawned local subprocess, not a TCP host
 
 	// Connection-scoped scheduling state, guarded by the fleet mutex.
 	// inflightN mirrors len(connState.inflight); perDisp counts this
@@ -403,6 +448,23 @@ type slot struct {
 	fails     int           // consecutive connection failures
 	cooldown  time.Duration // current breaker cooldown; doubles per re-open
 	openUntil time.Time     // breaker open until then; zero = closed
+}
+
+// burst is how many jobs of d this slot may take at once past its
+// window when d's share fits under the window cap (adaptiveWindow.limit).
+// A job sent to a busy worker waits in that worker's queue, where no
+// faster connection can take it, so a slot bursts only as far as its
+// capacity is known: a hinted host up to its pool, a local subprocess
+// its whole share when only local subprocesses — identical processes
+// on this host — can serve d, and a host without a hint not at all.
+func (s *slot) burst(d *dispatch) int {
+	switch {
+	case s.pool > 0:
+		return s.pool
+	case s.local && d.local:
+		return d.clamp
+	}
+	return 0
 }
 
 // interrupt aborts the runner's current sleep or dial; idempotent.

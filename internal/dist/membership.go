@@ -41,7 +41,7 @@ func (f *Fleet) AddHost(h Host) error {
 	}
 	f.mu.Unlock()
 	cfg := f.cfg
-	s := &slot{name: name, met: newSlotMetrics(name), dial: func() (*workerConn, error) { return dialWorker(h, cfg) }}
+	s := &slot{name: name, met: newSlotMetrics(name), pool: h.Pool, dial: func() (*workerConn, error) { return dialWorker(h, cfg) }}
 	wc, err := s.dial()
 	if err != nil {
 		return err

@@ -45,8 +45,13 @@ type dispatch struct {
 	// batch spread evenly over the slots able to serve it at admission
 	// — so a small batch on a wide fleet doesn't hoard window slots no
 	// schedule could fill, and one tenant cannot monopolize a
-	// connection another tenant is waiting on.
+	// connection another tenant is waiting on. On an adaptive window
+	// it also bounds the burst: a share of at most the window cap may
+	// go out at once, as far as slot.burst allows.
 	clamp int
+	// local is set when every slot that could serve the dispatch at
+	// admission is a local subprocess: their burst is the whole share.
+	local bool
 
 	// queue holds the indices of unclaimed tasks (claims pop the
 	// front, requeues append). remaining counts unsettled tasks; when
@@ -114,10 +119,11 @@ func (f *Fleet) dispatch(tasks []task, reqFrame, resFrame byte) error {
 		return errors.New("dist: fleet is closed")
 	}
 	now := time.Now()
-	able, cooling := 0, 0
+	able, cooling, local := 0, 0, true
 	for _, s := range f.slots {
 		switch {
 		case s.retired || s.draining:
+			continue
 		case s.cooling(now):
 			// An open breaker whose cooldown has not elapsed cannot
 			// serve this dispatch now; one whose cooldown has passed
@@ -126,6 +132,7 @@ func (f *Fleet) dispatch(tasks []task, reqFrame, resFrame byte) error {
 		default:
 			able++
 		}
+		local = local && s.local
 	}
 	if able == 0 {
 		f.mu.Unlock()
@@ -146,6 +153,7 @@ func (f *Fleet) dispatch(tasks []task, reqFrame, resFrame byte) error {
 		reqFrame:  reqFrame,
 		resFrame:  resFrame,
 		clamp:     (len(tasks) + width - 1) / width,
+		local:     local,
 		queue:     make([]int, len(tasks)),
 		remaining: len(tasks),
 		done:      make(chan struct{}),
@@ -309,10 +317,13 @@ func dialSlot(s *slot) (*workerConn, error) {
 }
 
 // drive runs the windowed pipeline on one live connection: the runner
-// goroutine claims tasks from the oldest eligible dispatch and writes
-// request frames while the adaptive window has a free slot; the
-// matcher goroutine consumes the connection's persistent frame reader
-// and settles replies by sequence number.
+// goroutine claims every task the window allows from the oldest
+// eligible dispatches, in one hold of the fleet mutex, and writes the
+// burst with one flush; the matcher goroutine consumes the
+// connection's persistent frame reader and settles replies by sequence
+// number. A burst reaches the worker together, so its read loop starts
+// every job before the first finishes and answers with one coalesced
+// reply frame.
 // Unlike the pre-PR10 engine, drive does not return when a dispatch
 // drains — the connection stays parked inside the claim wait, already
 // warm for the next tenant. It returns only when the connection dies
@@ -325,22 +336,21 @@ func (f *Fleet) drive(s *slot, wc *workerConn, lg *slog.Logger) (exit bool) {
 		defer close(matcherDone)
 		f.match(s, wc, cs)
 	}()
+	var burst []claim
 	for {
 		f.mu.Lock()
-		var cl claim
 		for {
 			if f.closed || s.draining || s.connErr != nil {
 				return f.finishConn(s, wc, cs, matcherDone, lg)
 			}
-			var ok bool
-			if cl, ok = f.tryClaimLocked(s, wc, cs); ok {
+			if burst = f.claimLocked(s, wc, cs, burst[:0]); len(burst) > 0 {
 				break
 			}
 			f.cond.Wait()
 		}
 		f.mu.Unlock()
-		if err := wc.send(cl.seq, cl.typ, cl.payload); err != nil {
-			// The flight is already booked; finishConn requeues it
+		if err := wc.sendAll(burst); err != nil {
+			// The flights are already booked; finishConn requeues them
 			// with everything else once the matcher is joined.
 			f.mu.Lock()
 			if s.connErr == nil {
@@ -351,63 +361,62 @@ func (f *Fleet) drive(s *slot, wc *workerConn, lg *slog.Logger) (exit bool) {
 	}
 }
 
-// tryClaimLocked claims the next task for this connection, if its
-// window has room and some live dispatch has an eligible queued task.
-// Called with the fleet mutex held.
-func (f *Fleet) tryClaimLocked(s *slot, wc *workerConn, cs *connState) (claim, bool) {
-	if s.inflightN >= wc.win.cur {
-		return claim{}, false
-	}
-	d, steal := f.pickLocked(s)
-	if d == nil {
-		return claim{}, false
-	}
-	k := d.queue[0]
-	d.queue = d.queue[1:]
-	f.queued--
-	gSchedQueuedJobs.Set(float64(f.queued))
-	if s.inflightN == 0 {
-		// Idle time between claims is not service time: reset the
-		// controller's reply clock (its RTT/gap estimates survive —
-		// the link didn't change, the workload pause did). In-flight
-		// going 0→1 also re-arms the stall clock: lastRecv may be
-		// long stale after an idle stretch, and idleness is not a
-		// stall — only silence with work outstanding is.
-		wc.win.lastReply = time.Time{}
-		if f.stall > 0 {
-			cs.armStart = time.Now()
+// claimLocked claims every task this connection may take now — from
+// the oldest eligible dispatches, while its window has room — and
+// appends them to burst. Called with the fleet mutex held.
+func (f *Fleet) claimLocked(s *slot, wc *workerConn, cs *connState, burst []claim) []claim {
+	// One clock read per burst at most: the send timestamp feeds only
+	// the adaptive controller's RTT estimate, and the stall clock needs
+	// a reading only when in-flight leaves 0, so a fixed window reads
+	// no clock between idle periods.
+	var now time.Time
+	for {
+		d, steal := f.pickLocked(s, &wc.win)
+		if d == nil {
+			break
 		}
+		k := d.queue[0]
+		d.queue = d.queue[1:]
+		f.queued--
+		if now.IsZero() && (!wc.win.fixed || (s.inflightN == 0 && f.stall > 0)) {
+			now = time.Now()
+		}
+		if s.inflightN == 0 && f.stall > 0 {
+			// In-flight going 0→1 re-arms the stall clock: lastRecv may
+			// be long stale after an idle stretch, and idleness is not
+			// a stall — only silence with work outstanding is.
+			cs.armStart = now
+		}
+		seq := wire.DispatchSeq(d.id, uint32(k))
+		cs.inflight[seq] = flight{d: d, k: k, sent: now}
+		s.inflightN++
+		if s.perDisp == nil {
+			s.perDisp = make(map[uint32]int)
+		}
+		s.perDisp[d.id]++
+		if steal {
+			s.met.steals.Inc()
+		}
+		s.lastDisp = d.id
+		burst = append(burst, claim{seq: seq, typ: d.reqFrame, payload: d.tasks[k].payload})
 	}
-	fl := flight{d: d, k: k}
-	if !wc.win.fixed {
-		// The send timestamp only feeds the adaptive controller's
-		// RTT estimate; a fixed window skips the clock read.
-		fl.sent = time.Now()
+	if n := uint64(len(burst)); n > 0 {
+		gSchedQueuedJobs.Set(float64(f.queued))
+		s.met.dispatched.Add(n)
+		s.met.claims.Add(n)
+		s.met.inflight.Set(float64(s.inflightN))
 	}
-	seq := wire.DispatchSeq(d.id, uint32(k))
-	cs.inflight[seq] = fl
-	s.inflightN++
-	if s.perDisp == nil {
-		s.perDisp = make(map[uint32]int)
-	}
-	s.perDisp[d.id]++
-	s.met.dispatched.Inc()
-	s.met.inflight.Set(float64(s.inflightN))
-	s.met.claims.Inc()
-	if steal {
-		s.met.steals.Inc()
-	}
-	s.lastDisp = d.id
-	return claim{seq: seq, typ: d.reqFrame, payload: d.tasks[k].payload}, true
+	return burst
 }
 
 // pickLocked chooses which live dispatch this connection claims from:
 // the oldest one with queued work whose per-connection clamp this
-// connection has not filled. The second result reports a steal — the
+// connection has not filled and whose window limit its in-flight
+// count has not reached. The second result reports a steal — the
 // connection switched away from a dispatch that is still live.
-func (f *Fleet) pickLocked(s *slot) (*dispatch, bool) {
+func (f *Fleet) pickLocked(s *slot, win *adaptiveWindow) (*dispatch, bool) {
 	for _, d := range f.live {
-		if len(d.queue) == 0 || s.perDisp[d.id] >= d.clamp {
+		if len(d.queue) == 0 || s.perDisp[d.id] >= d.clamp || s.inflightN >= win.limit(d.clamp, s.burst(d)) {
 			continue
 		}
 		if s.lastDisp != 0 && s.lastDisp != d.id {
@@ -755,19 +764,22 @@ func (f *Fleet) match(s *slot, wc *workerConn, cs *connState) {
 			}
 			// A coalesced batch is k replies that arrived at once:
 			// spread the observed arrival gap over them so the
-			// controller sees the true per-reply service rate. A fixed
-			// window observes nothing and pays for no clock reads at
-			// all — the in-process-adjacent loopback path is exactly
-			// where time.Now() per reply showed up in profiles.
+			// controller sees the true per-reply service rate. An
+			// adaptive window observes every reply's round trip, and
+			// its gap whenever the frame measures one. A fixed window
+			// observes nothing and pays for no clock reads at all —
+			// the in-process-adjacent loopback path is exactly where
+			// time.Now() per reply showed up in profiles.
 			var (
-				now   time.Time
-				gap   time.Duration
-				adapt bool
+				now    time.Time
+				gap    time.Duration
+				hasGap bool
 			)
-			if !wc.win.fixed {
+			adapt := !wc.win.fixed
+			if adapt {
 				now = time.Now()
 				f.mu.Lock()
-				gap, adapt = wc.win.settleGap(now, len(replies))
+				gap, hasGap = wc.win.settleGap(now, len(replies))
 				f.mu.Unlock()
 			}
 			for _, r := range replies {
@@ -808,11 +820,31 @@ func (f *Fleet) match(s *slot, wc *workerConn, cs *connState) {
 				var skip bool
 				if ok {
 					delete(cs.inflight, r.Seq)
-					s.inflightN--
-					s.perDisp[fl.d.id]--
+					if s.inflightN--; s.inflightN == 0 && f.queued == 0 {
+						// Nothing left to claim: the connection goes
+						// idle, and idle time is not service time. Reset
+						// the reply clock, so the first frame after idle
+						// feeds its round trips but no gap (settleGap;
+						// the RTT/gap estimates survive — the link didn't
+						// change, the workload paused). In-flight touching
+						// 0 with work still queued is no pause: the
+						// runner claims at once, and the next frame's
+						// spacing is this window's pace.
+						wc.win.lastReply = time.Time{}
+					}
+					// Delete a drained count rather than keep a zero: a
+					// long session serves one dispatch id after another,
+					// and the map must not grow with them.
+					if s.perDisp[fl.d.id]--; s.perDisp[fl.d.id] == 0 {
+						delete(s.perDisp, fl.d.id)
+					}
 					if adapt {
 						rtt := now.Sub(fl.sent)
-						wc.win.observe(rtt, gap)
+						if hasGap {
+							wc.win.observe(rtt, gap)
+						} else {
+							wc.win.observeRTT(rtt)
+						}
 						// The latency histogram piggybacks on the adaptive
 						// controller's timestamps; fixed windows skip every
 						// clock read (the PR6 hot path) and so observe

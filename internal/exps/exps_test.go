@@ -1,13 +1,17 @@
 package exps
 
 import (
+	"math"
 	"net"
 	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/inst"
+	"repro/internal/prog"
 )
 
 // TestMain lets this test binary serve as its own worker fleet: the
@@ -37,6 +41,24 @@ func TestT1AllAgree(t *testing.T) {
 			t.Errorf("T1 row %q agreement %s:\n%s", row[0], agree, out)
 		}
 	}
+}
+
+// TestMirrorGapBound pins the bound T1 asserts on its InfeasibleMirror
+// rows: AlmostUniversalRV never meets these draws, and its minimum gap
+// stays at or above ProjGap − t. The tightest draw here comes within
+// about 3e-7 of the bound, so a bound raised by 1e-6 fails.
+func TestMirrorGapBound(t *testing.T) {
+	worst := math.Inf(1)
+	for i, in := range inst.NewGen(1).DrawN(inst.ClassInfeasibleMirror, 40) {
+		res := runProg(in, func() prog.Program { return core.Program(core.Compact(), nil) }, 200_000)
+		bound := gapLowerBound(in)
+		slack := res.MinGap - bound
+		worst = math.Min(worst, slack)
+		if res.Met || slack < -1e-9 {
+			t.Errorf("draw %d: met=%v, min gap %.12g against the bound %.12g (slack %.3g)", i, res.Met, res.MinGap, bound, slack)
+		}
+	}
+	t.Logf("worst slack %.3g over 40 draws", worst)
 }
 
 func TestT2AllMeet(t *testing.T) {

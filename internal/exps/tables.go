@@ -174,12 +174,16 @@ func T1(seed int64, nPerClass int, b Budgets) *report.Table {
 
 // gapLowerBound returns the provable all-time gap lower bound for
 // infeasible synchronous instances (from the proofs of Lemmas 3.8/3.9).
+// Both cases are one argument: a quantity that bounds the gap from
+// below starts at a known value, stays fixed while both agents move,
+// and closes at speed at most 1 during the delay t.
 func gapLowerBound(in inst.Instance) float64 {
 	if in.Chi == 1 {
 		return in.Dist() - in.T // φ = 0 shift case
 	}
-	// Mirror case: projections can close by at most t.
-	return 0 // position gap can get small; the projection bound is separate
+	// Mirror case: the gap along the canonical line, a coordinate the
+	// reflection between the agents' frames keeps.
+	return in.ProjGap() - in.T
 }
 
 // T2 validates Theorem 3.2: AlmostUniversalRV meets on every sampled
